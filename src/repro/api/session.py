@@ -62,6 +62,7 @@ from repro.api.prepared import ParameterSpec, PreparedStatement
 from repro.api.results import QueryResult
 from repro.engine import types as t
 from repro.engine.executor import evaluate, stream_evaluate
+from repro.engine.relation import Relation
 from repro.engine.expressions import EvalContext, compile_expression
 from repro.engine.schema import Column, Schema
 from repro.engine.types import Value
@@ -1003,19 +1004,18 @@ class Session:
 
     def _matching_rows(self, txn: Transaction, table_name: str,
                        where: Optional[n.Expr], spec: ParameterSpec,
-                       ctx: EvalContext) -> list[tuple[str, tuple]]:
+                       ctx: EvalContext) -> Relation:
         """Rows of ``table_name`` as seen *by the transaction* (snapshot
-        plus its own staged writes) matching ``where``."""
-        relation = txn.scan(table_name)
-        if where is None:
-            return list(relation.pairs())
+        plus its own staged writes) matching ``where``: the executor's
+        columnar, zone-map pruned Filter over a Scan."""
         table = self.database.catalog.versioned_table(table_name)
-        schema = table.schema.requalified(table_name)
-        predicate = compile_expression(
-            bind_expression(where, schema, self.database.registry,
-                            parameters=spec), ctx)
-        return [(row_id, row) for row_id, row in relation.pairs()
-                if t.is_true(predicate(row))]
+        plan: lp.PlanNode = lp.Scan(table_name,
+                                    table.schema.requalified(table_name))
+        if where is not None:
+            plan = lp.Filter(plan, bind_expression(
+                where, plan.schema, self.database.registry,
+                parameters=spec))
+        return evaluate(plan, txn, ctx)
 
     def _run_delete(self, statement: n.Delete, spec: ParameterSpec,
                     values: tuple[Value, ...]) -> int:
@@ -1024,8 +1024,7 @@ class Session:
         def stage(txn: Transaction) -> int:
             matches = self._matching_rows(txn, statement.table,
                                           statement.where, spec, ctx)
-            txn.delete_rows(statement.table,
-                            [row_id for row_id, __ in matches])
+            txn.delete_rows(statement.table, matches.row_ids)
             return len(matches)
 
         return self._stage_autocommit(stage)
@@ -1046,7 +1045,7 @@ class Session:
             updates: dict[str, tuple] = {}
             for row_id, row in self._matching_rows(txn, statement.table,
                                                    statement.where, spec,
-                                                   ctx):
+                                                   ctx).pairs():
                 new_row = list(row)
                 for index, expr_fn in assignments.items():
                     new_row[index] = t.cast_value(expr_fn(row),

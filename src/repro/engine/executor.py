@@ -10,16 +10,18 @@ production validation (section 6.1) checks.
 
 The executor is a pull-based engine: each operator materializes its
 output. Execution is **vector-at-a-time** on the row-preserving hot path:
-storage hands scans over as columnar blocks (parallel per-column arrays),
-and filters, projections and limits evaluate whole column arrays through
-the vectorized compiler (:func:`compile_expression_columnar`) — one tight
-loop per expression node per batch instead of one closure call per row.
-Aggregation and window partitioning compute their group keys the same
-way. Operators without a columnar kernel (joins, sorts) consume the
-relation's row-tuple compatibility view and still use the closure-compiled
-row evaluators, so every plan shape works on either layout; the
-interpreter (``Expression.eval``) remains the reference semantics for
-both.
+storage is columnar only and hands scans over as columnar blocks
+(parallel per-column arrays), and filters, projections and limits
+evaluate whole column arrays through the vectorized compiler
+(:func:`compile_expression_columnar`) — one tight loop per expression
+node per batch instead of one closure call per row. Aggregation and
+window partitioning compute their group keys the same way. Operators
+without a columnar kernel (joins, sorts) consume the relation's row view
+and still use the closure-compiled row evaluators, so every plan shape
+works on either layout; the interpreter (``Expression.eval``) remains the
+reference semantics for both. DML matching (``UPDATE``/``DELETE ...
+WHERE``) is an ordinary Filter over a Scan evaluated here, so it shares
+the vectorized predicate and the zone-map pruning below.
 
 Filters directly over scans additionally push simple column-vs-literal
 bounds into the storage layer when the resolver supports it
@@ -46,8 +48,7 @@ from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       compile_group_key_columnar,
                                       compile_row, compile_row_columnar,
                                       conjuncts, emits_tristate)
-from repro.engine.relation import (Relation, SnapshotResolver,
-                                   columnar_enabled)
+from repro.engine.relation import Relation, SnapshotResolver
 from repro.engine.window import (compile_window_calls, evaluate_window_calls,
                                  sort_partition, _compare_with_nulls)
 from repro.errors import InternalError, ReproError, UserError
@@ -85,7 +86,7 @@ def force_columnar():
 
 def _vectorize(relation: Relation) -> bool:
     """Whether a kernel should take the vectorized path for this input."""
-    return columnar_enabled() and (_FORCE_COLUMNAR or relation.is_columnar)
+    return _FORCE_COLUMNAR or relation.is_columnar
 
 
 #: A pushed-down scan bound: either ``("cmp", column_index, op, value)``
@@ -410,20 +411,6 @@ class Block:
 RowBatch = Block
 
 
-def _block_of(partition) -> Block:
-    """A partition's rows as a columnar block. Real micro-partitions hand
-    over their column arrays by reference; transaction-overlay partitions
-    (which only carry ``(row_id, row)`` pairs) are transposed."""
-    columns = getattr(partition, "columns", None)
-    if columns is not None:
-        return Block(partition.row_ids, columns)
-    rows = partition.rows
-    if not rows:
-        return Block([], [])
-    return Block([row_id for row_id, __ in rows],
-                 list(zip(*(row for __, row in rows))))
-
-
 def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
                     ctx: EvalContext = DEFAULT_CONTEXT,
                     ) -> Optional[Iterator[RowBatch]]:
@@ -452,7 +439,8 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
         partitions = _scan_partitions(resolver, plan.table, ())
         if partitions is None:
             return None
-        return (_block_of(partition) for partition in partitions)
+        return (Block(partition.row_ids, partition.columns)
+                for partition in partitions)
 
     if isinstance(plan, lp.Filter):
         predicate = compile_expression_columnar(plan.predicate, ctx)
@@ -470,7 +458,7 @@ def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
             partitions = _scan_partitions(resolver, child.table, bounds)
             if partitions is None:
                 return None
-            return (filter_block(_block_of(partition))
+            return (filter_block(Block(partition.row_ids, partition.columns))
                     for partition in partitions)
         batches = stream_evaluate(child, resolver, ctx)
         if batches is None:

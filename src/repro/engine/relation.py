@@ -8,56 +8,25 @@ identifiers that incremental view maintenance threads through every
 operator (section 5.5: "Incremental DTs define a unique ID for every row
 in the query result, and store those IDs alongside the data").
 
-Compatibility view
-------------------
+Row view
+--------
 
-Every pre-existing row-tuple entry point is preserved: ``Relation(schema,
-rows, row_ids)`` construction, ``rows`` access, ``pairs()``, ``__iter__``,
-``append`` and ``from_pairs`` all keep working. Internally the relation
-holds *either* layout (whichever it was built from) and materializes the
-other lazily, caching it; ``append`` keeps every materialized layout in
-sync. Hot paths — storage scans, vectorized filters/projections — build
-and consume the columnar layout directly and never pay for row tuples;
-row-oriented code (joins, sorts, external callers) reads the ``rows``
-view and is none the wiser.
-
-The module-level :func:`row_major_mode` switch exists for the ablation
-benchmark (``bench_t11_columnar_scan``): with columnar execution disabled,
-storage materialization and the executor kernels fall back to the
-pre-refactor row-at-a-time code paths, which is what the reported
-"row-major baseline" numbers measure.
+The row-tuple entry points — ``Relation(schema, rows, row_ids)``
+construction, ``rows``, ``pairs()``, ``__iter__``, ``append`` and
+``from_pairs`` — serve the operators that are still row-at-a-time above
+storage (joins, sorts, per-group aggregate loops) and external callers.
+Internally the relation holds *either* layout (whichever it was built
+from) and materializes the other lazily, caching it; ``append`` keeps
+every materialized layout in sync. Everything below the executor —
+storage scans and writes, change queries, transaction overlays — builds
+and consumes the columnar layout only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.engine.schema import Schema
-
-#: Whether hot paths build/consume the columnar layout. Toggled only by
-#: :func:`row_major_mode` (benchmark ablation); normal operation is True.
-_COLUMNAR_ENABLED = True
-
-
-def columnar_enabled() -> bool:
-    """Whether columnar fast paths are active (see :func:`row_major_mode`)."""
-    return _COLUMNAR_ENABLED
-
-
-@contextmanager
-def row_major_mode():
-    """Disable the columnar fast paths, restoring the pre-refactor
-    row-at-a-time behaviour of storage materialization, the executor
-    kernels, and delta building. Results are identical either way; only
-    the ablation benchmark should use this."""
-    global _COLUMNAR_ENABLED
-    saved = _COLUMNAR_ENABLED
-    _COLUMNAR_ENABLED = False
-    try:
-        yield
-    finally:
-        _COLUMNAR_ENABLED = saved
 
 
 class Relation:
@@ -109,7 +78,7 @@ class Relation:
 
     @property
     def rows(self) -> list[tuple]:
-        """Row tuples (compatibility view; materialized lazily)."""
+        """Row tuples (the row view; materialized lazily)."""
         if self._rows is None:
             columns = self._columns
             if columns:

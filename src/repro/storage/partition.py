@@ -15,16 +15,17 @@ the paper discusses fall out of it naturally:
   rewrites partitions without changing logical contents; versions flagged
   data-equivalent are skipped by the differ.
 
-Since the columnar-execution refactor a partition stores its data
-**column-major**: ``row_ids`` is a tuple of stable identifiers and
-``columns[i]`` is the tuple of column ``i``'s values, parallel to it.
-This is the on-disk shape Snowflake's micro-partition format presumes
-(column chunks within an immutable file): scans hand whole column arrays
-to the vectorized evaluators without ever building row tuples, and zone
-maps are a single min/max pass over an already-materialized column array.
-The old ``rows`` view — a tuple of ``(row_id, row)`` pairs — remains as a
-lazily cached compatibility property for row-oriented consumers
-(transaction overlays, DML partition rewrites).
+A partition stores its data **column-major** and only that way:
+``row_ids`` is a tuple of stable identifiers and ``columns[i]`` is the
+tuple of column ``i``'s values, parallel to it. This is the shape
+Snowflake's micro-partition format presumes (column chunks within an
+immutable file): scans hand whole column arrays to the vectorized
+evaluators, DML rewrites gather surviving column slices
+(:func:`gather_columns`), change queries transpose a partition's arrays
+into a delta without keeping the row tuples, and zone maps are a single
+min/max pass over an already-materialized column array. There is no row
+view on a partition: nothing row-shaped stays pinned on the partitions
+that old table versions keep alive.
 
 Each partition is stamped at creation with per-column **zone maps**
 (min/max plus a value-kind tag), mirroring Snowflake's per-micro-partition
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+
+from repro.errors import InternalError
 
 
 #: Global partition id allocator (ids only need to be unique per process).
@@ -112,34 +114,6 @@ def zone_maps_of_columns(columns: Sequence[Sequence],
     return tuple(_column_stats(column) for column in columns)
 
 
-def build_zone_maps(rows: Sequence[tuple[str, tuple]]) -> tuple[ColumnStats, ...]:
-    """Per-column stats over the ``(row_id, row)`` pairs of a partition
-    (row-major compatibility entry point)."""
-    if not rows:
-        return ()
-    width = len(rows[0][1])
-    return tuple(
-        _column_stats(row[index] if index < len(row) else None
-                      for __, row in rows)
-        for index in range(width))
-
-
-def _columns_of_pairs(rows: Sequence[tuple[str, tuple]],
-                      ) -> tuple[tuple, ...]:
-    """Transpose ``(row_id, row)`` pairs into column arrays. Width follows
-    the first row; short rows pad with NULL (matching what the zone maps
-    have always assumed for ragged input)."""
-    if not rows:
-        return ()
-    width = len(rows[0][1])
-    uniform = all(len(row) == width for __, row in rows)
-    if uniform:
-        return tuple(zip(*(row for __, row in rows)))
-    return tuple(
-        tuple(row[index] if index < len(row) else None for __, row in rows)
-        for index in range(width))
-
-
 def _range_allows(stats: ColumnStats, op: str, value: object) -> bool:
     """Whether any non-NULL value in [low, high] could satisfy
     ``col <op> value``. Callers must have established kind safety first."""
@@ -173,14 +147,6 @@ class Partition:
     zone_maps: tuple[ColumnStats, ...] = ()
 
     @staticmethod
-    def create(rows: Sequence[tuple[str, tuple]]) -> "Partition":
-        """Build from ``(row_id, row)`` pairs (compatibility constructor)."""
-        columns = _columns_of_pairs(rows)
-        return Partition(next(_partition_ids),
-                         tuple(row_id for row_id, __ in rows),
-                         columns, zone_maps_of_columns(columns))
-
-    @staticmethod
     def from_columns(row_ids: Sequence[str],
                      columns: Sequence[Sequence]) -> "Partition":
         """Build directly from parallel column arrays (the columnar write
@@ -191,18 +157,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.row_ids)
-
-    @cached_property
-    def row_tuples(self) -> tuple[tuple, ...]:
-        """Row tuples (lazily cached transpose of ``columns``)."""
-        if not self.columns:
-            return ((),) * len(self.row_ids)
-        return tuple(zip(*self.columns))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[str, tuple], ...]:
-        """``(row_id, row)`` pairs — the pre-columnar compatibility view."""
-        return tuple(zip(self.row_ids, self.row_tuples))
 
     def might_match(self, bounds: Sequence[tuple]) -> bool:
         """Whether this partition could contain a row satisfying the
@@ -254,10 +208,57 @@ class Partition:
         return f"Partition(id={self.id}, rows={len(self.row_ids)})"
 
 
-def build_partitions(rows: list[tuple[str, tuple]],
+def build_partitions(row_ids: Sequence[str], columns: Sequence[Sequence],
                      max_rows: int) -> list[Partition]:
-    """Chunk rows into partitions of at most ``max_rows`` rows."""
-    partitions = []
-    for start in range(0, len(rows), max_rows):
-        partitions.append(Partition.create(tuple(rows[start:start + max_rows])))
-    return partitions
+    """Chunk parallel ``row_ids`` / column arrays into partitions of at
+    most ``max_rows`` rows."""
+    return [Partition.from_columns(
+                row_ids[start:start + max_rows],
+                [column[start:start + max_rows] for column in columns])
+            for start in range(0, len(row_ids), max_rows)]
+
+
+def columns_of_rows(rows: Sequence[tuple], width: int) -> list[tuple]:
+    """Transpose row tuples into ``width`` column arrays: how inserted
+    rows (committed or staged in a transaction) enter the columnar
+    layout."""
+    if not rows:
+        return [()] * width
+    if set(map(len, rows)) != {width}:
+        raise InternalError(f"rows do not all have width {width}")
+    return list(zip(*rows))
+
+
+def gather_columns(partitions: Iterable, width: int,
+                   dead: AbstractSet[str] = frozenset(),
+                   updates: Optional[Mapping[str, tuple]] = None,
+                   ) -> tuple[list[str], list[list]]:
+    """Concatenate the ``(row_ids, columns)`` of ``partitions`` in order,
+    dropping the rows whose id is in ``dead`` and giving the rows whose id
+    is in ``updates`` their new values in place (same id, same position).
+
+    This is the columnar gather behind table materialization, DML and
+    change-set partition rewrites, reclustering and transaction overlays:
+    whole column arrays are extended (or masked with the C-level
+    ``itertools.compress``), so no row tuple is ever built.
+    """
+    ids: list[str] = []
+    columns: list[list] = [[] for __ in range(width)]
+    for partition in partitions:
+        row_ids = partition.row_ids
+        if dead and not dead.isdisjoint(row_ids):
+            mask = [row_id not in dead for row_id in row_ids]
+            ids.extend(itertools.compress(row_ids, mask))
+            for accumulator, column in zip(columns, partition.columns):
+                accumulator.extend(itertools.compress(column, mask))
+        else:
+            ids.extend(row_ids)
+            for accumulator, column in zip(columns, partition.columns):
+                accumulator.extend(column)
+    if updates:
+        for position, row_id in enumerate(ids):
+            new_row = updates.get(row_id)
+            if new_row is not None:
+                for column, value in zip(columns, new_row):
+                    column[position] = value
+    return ids, columns

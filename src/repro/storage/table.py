@@ -24,13 +24,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.engine.relation import Relation, columnar_enabled
+from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.errors import ChangeIntegrityError, InternalError, VersionNotFound
 from repro.faults import inject
 from repro.ivm import rowid
 from repro.ivm.changes import ChangeSet
-from repro.storage.partition import Partition, build_partitions
+from repro.storage.partition import (Partition, build_partitions,
+                                     columns_of_rows, gather_columns)
 from repro.txn.hlc import HLC_ZERO, HlcTimestamp
 from repro.util.timeutil import Timestamp
 
@@ -224,24 +225,13 @@ class VersionedTable:
         return relation
 
     def _materialize(self, partition_ids: Sequence[int]) -> Relation:
-        """Concatenate partitions into one relation. The columnar path
-        extends per-column accumulators with whole partition column
-        arrays — no row tuples are ever built; the row-major path (kept
-        for the ablation benchmark) appends row by row as before."""
-        if columnar_enabled():
-            ids: list[str] = []
-            columns: list[list] = [[] for __ in range(len(self.schema))]
-            for partition_id in partition_ids:
-                partition = self._partitions[partition_id]
-                ids.extend(partition.row_ids)
-                for accumulator, column in zip(columns, partition.columns):
-                    accumulator.extend(column)
-            return Relation.from_columns(self.schema, columns, ids)
-        relation = Relation(self.schema)
-        for partition_id in partition_ids:
-            for row_id, row in self._partitions[partition_id].rows:
-                relation.append(row_id, row)
-        return relation
+        """Concatenate partitions into one columnar relation: per-column
+        accumulators are extended with whole partition column arrays, so
+        no row tuples are ever built."""
+        ids, columns = gather_columns(
+            (self._partitions[partition_id] for partition_id in partition_ids),
+            len(self.schema))
+        return Relation.from_columns(self.schema, columns, ids)
 
     def relation_pruned(self, version: TableVersion | None,
                         bounds: Sequence[tuple[int, str, object]]) -> Relation:
@@ -299,50 +289,56 @@ class VersionedTable:
         return [rowid.base_id(self.table_seq, start + offset)
                 for offset in range(count)]
 
+    def _build_rows(self, row_ids: Sequence[str],
+                    rows: Sequence[tuple]) -> list[Partition]:
+        """Partitions of new row tuples (transposed once, here)."""
+        return build_partitions(row_ids,
+                                columns_of_rows(rows, len(self.schema)),
+                                self.partition_rows)
+
+    def _rewrite(self, partition_id: int, dead: set[str],
+                 updates: Optional[dict[str, tuple]] = None,
+                 ) -> list[Partition]:
+        """Copy-on-write rewrite of one partition: ``dead`` rows dropped,
+        ``updates`` applied in place (ids and row order kept)."""
+        ids, columns = gather_columns((self._partitions[partition_id],),
+                                      len(self.schema), dead, updates)
+        return build_partitions(ids, columns, self.partition_rows)
+
+    def _locate(self, row_id: str, what: str) -> int:
+        partition_id = self._locator.get(row_id)
+        if partition_id is None:
+            raise ChangeIntegrityError(
+                f"{what} of nonexistent row {row_id} in {self.name!r}")
+        return partition_id
+
     def _apply_dml(self, write: StagedWrite,
                    commit_ts: HlcTimestamp) -> TableVersion:
-        touched: dict[int, dict[str, tuple | None]] = {}
+        touched: dict[int, tuple[set[str], dict[str, tuple]]] = {}
         for row_id in write.deletes:
-            partition_id = self._locator.get(row_id)
-            if partition_id is None:
-                raise ChangeIntegrityError(
-                    f"delete of nonexistent row {row_id} in {self.name!r}")
-            touched.setdefault(partition_id, {})[row_id] = None
+            partition_id = self._locate(row_id, "delete")
+            touched.setdefault(partition_id, (set(), {}))[0].add(row_id)
         for row_id, new_row in write.updates.items():
-            partition_id = self._locator.get(row_id)
-            if partition_id is None:
-                raise ChangeIntegrityError(
-                    f"update of nonexistent row {row_id} in {self.name!r}")
-            touched.setdefault(partition_id, {})[row_id] = new_row
+            partition_id = self._locate(row_id, "update")
+            dead, updates = touched.setdefault(partition_id, (set(), {}))
+            dead.discard(row_id)  # an update after a delete wins
+            updates[row_id] = new_row
 
-        removed: set[int] = set(touched)
         added: list[Partition] = []
-        for partition_id, edits in touched.items():
-            survivors = []
-            for row_id, row in self._partitions[partition_id].rows:
-                if row_id in edits:
-                    replacement = edits[row_id]
-                    if replacement is not None:
-                        survivors.append((row_id, replacement))
-                else:
-                    survivors.append((row_id, row))
-            if survivors:
-                added.extend(build_partitions(survivors, self.partition_rows))
-
+        for partition_id, (dead, updates) in touched.items():
+            added.extend(self._rewrite(partition_id, dead, updates))
         if write.inserts:
-            new_ids = self._allocate_ids(len(write.inserts))
-            pairs = list(zip(new_ids, write.inserts))
-            added.extend(build_partitions(pairs, self.partition_rows))
+            added.extend(self._build_rows(
+                self._allocate_ids(len(write.inserts)), write.inserts))
 
         footprint = frozenset(write.deletes) | frozenset(write.updates)
-        return self._install(removed, added, commit_ts,
+        return self._install(set(touched), added, commit_ts,
                              written_ids=footprint)
 
     def _apply_overwrite(self, rows: list[tuple],
                          commit_ts: HlcTimestamp) -> TableVersion:
         removed = set(self.current_version.partition_ids)
-        new_ids = self._allocate_ids(len(rows))
-        added = build_partitions(list(zip(new_ids, rows)), self.partition_rows)
+        added = self._build_rows(self._allocate_ids(len(rows)), rows)
         return self._install(removed, added, commit_ts, overwrote=True)
 
     def _apply_changeset(self, changes: ChangeSet, commit_ts: HlcTimestamp,
@@ -354,29 +350,20 @@ class VersionedTable:
         insert_ids, insert_rows = changes.insert_arrays()
         if overwrite:
             removed = set(self.current_version.partition_ids)
-            added = build_partitions(list(zip(insert_ids, insert_rows)),
-                                     self.partition_rows)
+            added = self._build_rows(insert_ids, insert_rows)
             return self._install(removed, added, commit_ts, overwrote=True)
 
         delete_ids = changes.delete_arrays()[0]
         touched: dict[int, set[str]] = {}
         for row_id in delete_ids:
-            partition_id = self._locator[row_id]
-            touched.setdefault(partition_id, set()).add(row_id)
+            touched.setdefault(self._locator[row_id], set()).add(row_id)
 
-        removed = set(touched)
         added: list[Partition] = []
         for partition_id, dead in touched.items():
-            survivors = [(row_id, row)
-                         for row_id, row in self._partitions[partition_id].rows
-                         if row_id not in dead]
-            if survivors:
-                added.extend(build_partitions(survivors, self.partition_rows))
-
+            added.extend(self._rewrite(partition_id, dead))
         if insert_ids:
-            added.extend(build_partitions(list(zip(insert_ids, insert_rows)),
-                                          self.partition_rows))
-        return self._install(removed, added, commit_ts,
+            added.extend(self._build_rows(insert_ids, insert_rows))
+        return self._install(set(touched), added, commit_ts,
                              written_ids=frozenset(delete_ids))
 
     def clone(self, name: str, table_seq: int,
@@ -409,12 +396,11 @@ class VersionedTable:
         logical contents — a data-equivalent maintenance operation
         (section 5.5.2). The new version is flagged so the differ skips it."""
         current = self.current_version
-        pairs: list[tuple[str, tuple]] = []
-        for partition in self.partitions_of(current):
-            pairs.extend(partition.rows)
-        removed = set(current.partition_ids)
-        added = build_partitions(pairs, self.partition_rows)
-        return self._install(removed, added, commit_ts, data_equivalent=True)
+        ids, columns = gather_columns(self.partitions_of(current),
+                                      len(self.schema))
+        added = build_partitions(ids, columns, self.partition_rows)
+        return self._install(set(current.partition_ids), added, commit_ts,
+                             data_equivalent=True)
 
     def _install(self, removed: set[int], added: list[Partition],
                  commit_ts: HlcTimestamp,

@@ -53,6 +53,7 @@ from repro.errors import LockConflict, NotInitializedError, TransactionError
 from repro.faults import inject
 from repro.ivm.changes import ChangeSet
 from repro.storage.catalog import Catalog
+from repro.storage.partition import columns_of_rows, gather_columns
 from repro.storage.table import StagedWrite, TableVersion, VersionedTable
 from repro.txn.hlc import HlcTimestamp, HybridLogicalClock
 from repro.util.timeutil import Timestamp
@@ -64,7 +65,8 @@ Snapshot = Union[Timestamp, HlcTimestamp]
 
 
 class _OverlayPartition:
-    """A partition view with a transaction's deletes/updates applied.
+    """A base partition with a transaction's deletes/updates applied,
+    carried as ``row_ids`` + ``columns`` like a real partition.
 
     Zone-map pruning stays sound for pure deletions (removing rows can
     never make a skipped partition match), so ``might_match`` delegates
@@ -72,10 +74,11 @@ class _OverlayPartition:
     voids its zone maps and always reports a possible match.
     """
 
-    __slots__ = ("rows", "_base", "_updated")
+    __slots__ = ("row_ids", "columns", "_base", "_updated")
 
-    def __init__(self, rows, base, updated: bool):
-        self.rows = rows
+    def __init__(self, row_ids, columns, base, updated: bool):
+        self.row_ids = row_ids
+        self.columns = columns
         self._base = base
         self._updated = updated
 
@@ -84,38 +87,33 @@ class _OverlayPartition:
 
 
 class _StagedPartition:
-    """A transaction's staged inserts as one synthetic partition."""
+    """A transaction's staged inserts as one synthetic columnar
+    partition."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("row_ids", "columns")
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, row_ids, columns):
+        self.row_ids = row_ids
+        self.columns = columns
 
     def might_match(self, bounds) -> bool:
         return True  # no zone maps for uncommitted rows
 
 
-def _overlay_partition_stream(partitions, deletes, updates, staged):
+def _overlay_partition_stream(partitions, width: int, deletes, updates,
+                              staged_ids, staged_rows):
     for partition in partitions:
-        rows = []
-        changed = False
-        updated = False
-        for row_id, row in partition.rows:
-            if row_id in deletes:
-                changed = True
-                continue
-            new_row = updates.get(row_id)
-            if new_row is not None:
-                changed = updated = True
-                rows.append((row_id, new_row))
-            else:
-                rows.append((row_id, row))
-        if not changed:
+        row_ids = partition.row_ids
+        if deletes.isdisjoint(row_ids) and updates.keys().isdisjoint(row_ids):
             yield partition
-        elif rows:
-            yield _OverlayPartition(rows, partition, updated)
-    if staged:
-        yield _StagedPartition(staged)
+            continue
+        ids, columns = gather_columns((partition,), width, deletes, updates)
+        if ids:
+            yield _OverlayPartition(ids, columns, partition,
+                                    not updates.keys().isdisjoint(ids))
+    if staged_ids:
+        yield _StagedPartition(staged_ids,
+                               columns_of_rows(staged_rows, width))
 
 
 class Transaction:
@@ -171,58 +169,45 @@ class Transaction:
         return version
 
     def scan(self, table: str) -> Relation:
-        versioned = self._resolve_table(table)
-        version = self._version_of(table, versioned)
-        base = versioned.relation(version)
-        write = self._writes.get(table)
-        if write is None or not self._overlays(write):
-            return base
-        overlaid = Relation(base.schema)
-        if not write.overwrite:
-            for row_id, row in base.pairs():
-                if row_id in write.deletes:
-                    continue
-                overlaid.append(row_id, write.updates.get(row_id, row))
-        for row_id, row in zip(self._insert_ids.get(table, ()),
-                               write.inserts):
-            overlaid.append(row_id, row)
-        return overlaid
+        return self.scan_pruned(table, ())
 
     def scan_pruned(self, table: str, bounds) -> Relation:
         """Zone-map pruned scan. With no staged writes on the table this
-        is exactly the snapshot reader's pruned read; with an overlay the
-        full (unpruned) overlaid relation is returned — a superset is
-        always sound, since the caller re-applies its predicate."""
+        is exactly the snapshot reader's (pruned) read; with an overlay it
+        gathers the columns of the overlay partitions that might match —
+        the same partition stream streaming cursors read."""
         versioned = self._resolve_table(table)
         write = self._writes.get(table)
         if write is None or not self._overlays(write):
             return versioned.relation_pruned(
                 self._version_of(table, versioned), bounds)
-        return self.scan(table)
+        partitions = self.scan_partitions(table)
+        if bounds:
+            partitions = (partition for partition in partitions
+                          if partition.might_match(bounds))
+        ids, columns = gather_columns(partitions, len(versioned.schema))
+        return Relation.from_columns(versioned.schema, columns, ids)
 
     def scan_partitions(self, table: str):
-        """Partition-granular reads (streaming cursors) inside a
-        transaction. Tables the transaction has not written stream their
-        snapshot partitions directly; written tables stream the base
-        partitions with deletes/updates applied, then one synthetic
-        partition of the staged inserts — the same rows, ids, and order
-        as :meth:`scan`. The staged state is copied now, so a stream
-        serves the overlay as of its creation even if later statements
-        stage more writes.
+        """Partition-granular reads (streaming cursors, and the overlay
+        behind :meth:`scan`) inside a transaction. Tables the transaction
+        has not written stream their snapshot partitions directly; written
+        tables stream the base partitions with deletes/updates applied,
+        then one synthetic partition of the staged inserts. The staged
+        state is copied now, so a stream serves the overlay as of its
+        creation even if later statements stage more writes.
         """
         versioned = self._resolve_table(table)
         version = self._version_of(table, versioned)
         write = self._writes.get(table)
         if write is None or not self._overlays(write):
             return iter(versioned.partitions_of(version))
-        deletes = frozenset(write.deletes)
-        updates = dict(write.updates)
-        staged = list(zip(self._insert_ids.get(table, ()),
-                          list(write.inserts)))
         partitions = ([] if write.overwrite
                       else versioned.partitions_of(version))
-        return _overlay_partition_stream(partitions, deletes, updates,
-                                         staged)
+        return _overlay_partition_stream(
+            partitions, len(versioned.schema), frozenset(write.deletes),
+            dict(write.updates), list(self._insert_ids.get(table, ())),
+            list(write.inserts))
 
     @staticmethod
     def _overlays(write: StagedWrite) -> bool:

@@ -22,8 +22,7 @@ from repro.engine.expressions import (Arithmetic, BooleanOp, Case, Cast,
                                       compile_expression_columnar,
                                       compile_group_key_columnar,
                                       compile_row_columnar)
-from repro.engine.relation import (DictResolver, Relation, columnar_enabled,
-                                   row_major_mode)
+from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
 from repro.errors import EvaluationError, RowIdIntegrityError
@@ -143,11 +142,14 @@ class TestSoAChangeSet:
 
 class TestColumnarPartitions:
     def test_partition_stores_columns(self):
-        pairs = [(f"r{i}", (i, f"g{i % 2}", i * 10)) for i in range(5)]
-        partition = Partition.create(pairs)
+        partition = Partition.from_columns(
+            [f"r{i}" for i in range(5)],
+            [list(range(5)), [f"g{i % 2}" for i in range(5)],
+             [i * 10 for i in range(5)]])
         assert partition.columns[0] == (0, 1, 2, 3, 4)
+        assert partition.columns[1] == ("g0", "g1", "g0", "g1", "g0")
         assert partition.row_ids == tuple(f"r{i}" for i in range(5))
-        assert partition.rows == tuple(pairs)  # compatibility view
+        assert not hasattr(partition, "rows")  # no row view on partitions
 
     def test_zone_maps_from_column_arrays(self):
         partition = Partition.from_columns(
@@ -158,10 +160,11 @@ class TestColumnarPartitions:
         assert (text.kind, text.low, text.high) == ("str", "x", "z")
 
     def test_build_partitions_chunks(self):
-        pairs = [(f"r{i}", (i,)) for i in range(7)]
-        partitions = build_partitions(pairs, 3)
+        partitions = build_partitions([f"r{i}" for i in range(7)],
+                                      [list(range(7))], 3)
         assert [len(p) for p in partitions] == [3, 3, 1]
         assert partitions[2].columns == ((6,),)
+        assert partitions[2].row_ids == ("r6",)
 
 
 #: Expression battery for interpreter-vs-vectorized equivalence. Each
@@ -264,19 +267,6 @@ def _relations():
 
 
 class TestExecutorPathEquivalence:
-    SQL = ("SELECT id, val + 1 v FROM items WHERE val > 1 AND grp != 'g2'")
-
-    def test_row_major_mode_matches_columnar(self):
-        plan = build_plan(parse_query(self.SQL), PROVIDER)
-        relations = _relations()
-        columnar = evaluate(plan, DictResolver(relations))
-        assert columnar_enabled()
-        with row_major_mode():
-            assert not columnar_enabled()
-            row_major = evaluate(plan, DictResolver(relations))
-        assert columnar.rows == row_major.rows
-        assert columnar.row_ids == row_major.row_ids
-
     def test_force_columnar_matches_default(self):
         plan = build_plan(parse_query(
             "SELECT grp, count(*) n FROM items GROUP BY grp"), PROVIDER)

@@ -260,17 +260,18 @@ class _PartitionedResolver:
         from repro.storage.partition import build_partitions
 
         self._partitions = {
-            name: build_partitions(list(relation.pairs()), partition_rows)
+            name: build_partitions(relation.row_ids, relation.columns,
+                                   partition_rows)
             for name, (relation, partition_rows) in tables.items()}
         self._schemas = {name: relation.schema
                          for name, (relation, __) in tables.items()}
 
     def scan(self, table):
-        relation = Relation(self._schemas[table])
-        for partition in self._partitions[table]:
-            for row_id, row in partition.rows:
-                relation.append(row_id, row)
-        return relation
+        from repro.storage.partition import gather_columns
+
+        schema = self._schemas[table]
+        ids, columns = gather_columns(self._partitions[table], len(schema))
+        return Relation.from_columns(schema, columns, ids)
 
     def scan_partitions(self, table):
         return iter(self._partitions[table])

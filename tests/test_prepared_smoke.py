@@ -6,8 +6,10 @@ same point-lookup query N times two ways — as fresh ``query()`` calls
 (each paying tokenize + parse + bind + optimize) and as one
 :class:`~repro.api.prepared.PreparedStatement` re-executed with new binds
 (plan-cache hit, zero frontend work) — asserts the prepared path is at
-least 2x faster, and snapshots both throughputs to
-``benchmarks/BENCH_prepared.json``.
+least 2x faster, and reports both throughputs to the gitignored
+``benchmarks/results.txt``. The committed ``benchmarks/BENCH_prepared.json``
+snapshot holds only the scenario's deterministic fields, so a run leaves
+the tree clean.
 
 Runs as part of tier-1 (it is fast); deselect with ``-m "not perf"``.
 """
@@ -22,7 +24,7 @@ from repro import Database
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "benchmarks"))
-from reporting import emit_json  # noqa: E402
+from reporting import emit, emit_json, table  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
@@ -74,10 +76,12 @@ def test_prepared_reexecution_at_least_2x_fresh_query(db):
         "query": PREPARED_QUERY,
         "table_rows": TABLE_ROWS,
         "executions": EXECUTIONS,
-        "fresh_query_per_second": round(EXECUTIONS / fresh_elapsed, 1),
-        "prepared_per_second": round(EXECUTIONS / prepared_elapsed, 1),
-        "speedup": round(speedup, 2),
     })
+    emit("Prepared re-execution vs fresh query() (wall clock)", table(
+        ["path", "executions/s"],
+        [["fresh query()", round(EXECUTIONS / fresh_elapsed, 1)],
+         ["prepared", round(EXECUTIONS / prepared_elapsed, 1)],
+         ["speedup", round(speedup, 2)]]))
 
     # The acceptance bar: plan-cache hits make re-execution >= 2x faster.
     assert speedup >= 2.0, (

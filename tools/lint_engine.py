@@ -21,10 +21,11 @@ convention-enforced:
 
 ``materialize``
     Hot-path modules (``engine/executor.py``, ``ivm/rules_*.py``,
-    ``storage/``) stay columnar: ``.rows`` / ``.pairs()``
-    materialization there defeats the columnar data plane and is only
-    allowed at sites recorded in the baseline allowlist below (each a
-    deliberate row-shaped boundary) or marked with a pragma.
+    ``storage/``, ``streams/``, ``txn/manager.py``) stay columnar:
+    ``.rows`` / ``.pairs()`` materialization there defeats the columnar
+    data plane and is only allowed at sites recorded in the baseline
+    allowlist below (each a deliberate row-shaped boundary) or marked
+    with a pragma.
 
 ``accumulator-protocol``
     Every class deriving from ``Accumulator`` must implement (or
@@ -107,8 +108,10 @@ _CLOCK_EXEMPT = ("scheduler/clock.py",)
 _LOCK_SCOPE = ("server/", "txn/manager.py")
 _LOCK_METHODS = {"lock", "acquire"}
 
-#: Hot-path modules that must stay columnar.
-_MATERIALIZE_SCOPE = ("engine/executor.py", "storage/")
+#: Hot-path modules that must stay columnar: the executor, and the whole
+#: data plane below it (storage, change queries, transaction overlays).
+_MATERIALIZE_SCOPE = ("engine/executor.py", "storage/", "streams/",
+                      "txn/manager.py")
 _MATERIALIZE_PREFIX = ("ivm/rules_",)
 
 #: Baseline allowlist for the materialize rule: (module path, enclosing
@@ -116,7 +119,6 @@ _MATERIALIZE_PREFIX = ("ivm/rules_",)
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_block_of"),
     ("engine/executor.py", "_filter_input"),
     ("engine/executor.py", "_run_filter"),
     ("engine/executor.py", "_run_limit"),
@@ -142,10 +144,6 @@ MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
     ("ivm/rules_join.py", "_right_pad_rows"),
     ("ivm/rules_join.py", "_signed_join"),
     ("ivm/rules_window.py", "delta_window"),
-    ("storage/table.py", "_apply_changeset"),
-    ("storage/table.py", "_apply_dml"),
-    ("storage/table.py", "_materialize"),
-    ("storage/table.py", "recluster"),
     ("storage/table.py", "rows_by_id"),
 }
 
