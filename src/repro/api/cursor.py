@@ -11,7 +11,7 @@ filtered and projected by the vectorized evaluators — which the cursor
 transposes into row tuples once per page served. ``ORDER BY ... LIMIT k``
 streams through a bounded top-k heap (at most ``k`` buffered rows); plans
 whose shape cannot stream (aggregates, joins, unbounded sorts)
-transparently fall back to one materialized batch.
+transparently fall back to one materialized block.
 
 The surface follows PEP 249 where it makes sense for an embedded
 analytical engine: ``execute`` / ``executemany``, ``fetchone`` /
@@ -34,6 +34,7 @@ from repro.errors import UserError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
+    from repro.engine.executor import Block
 
 #: Default ``fetchmany`` page size.
 DEFAULT_ARRAYSIZE = 64
@@ -47,7 +48,7 @@ class Cursor:
         self.arraysize = DEFAULT_ARRAYSIZE
         self._description: Optional[list[tuple]] = None
         self._rowcount = -1
-        self._batches: Optional[Iterator[list]] = None
+        self._batches: Optional[Iterator[Block]] = None
         self._buffer: deque[tuple] = deque()
         self._sql: Optional[str] = None
         self._closed = False
@@ -185,14 +186,9 @@ class Cursor:
                 except StopIteration:
                     self._batches = None
                     break
-            # Streamed batches are columnar blocks: one transpose per
-            # partition beats one tuple-unpack per row. The materialized
-            # fallback yields plain ``(row_id, row)`` pair lists.
-            row_tuples = getattr(batch, "row_tuples", None)
-            if row_tuples is not None:
-                self._buffer.extend(row_tuples())
-            else:
-                self._buffer.extend(row for __, row in batch)
+            # Every batch is a columnar block (the materialized fallback
+            # is one block): one transpose per partition.
+            self._buffer.extend(batch.row_tuples())
         return bool(self._buffer)
 
     # -- lifecycle -----------------------------------------------------------

@@ -61,7 +61,7 @@ from repro.analysis.diagnostics import AnalysisReport
 from repro.api.prepared import ParameterSpec, PreparedStatement
 from repro.api.results import QueryResult
 from repro.engine import types as t
-from repro.engine.executor import evaluate, stream_evaluate
+from repro.engine.executor import Block, evaluate, stream_evaluate
 from repro.engine.relation import Relation
 from repro.engine.expressions import EvalContext, compile_expression
 from repro.engine.schema import Column, Schema
@@ -756,9 +756,9 @@ class Session:
                 return total
 
     def _stream_prepared(self, prepared: PreparedStatement, binds: object,
-                         ) -> tuple[Schema, Iterator[list]]:
-        """Schema + per-micro-partition batch iterator for a SELECT (the
-        cursor's read path); falls back to one materialized batch when the
+                         ) -> tuple[Schema, Iterator[Block]]:
+        """Schema + per-micro-partition block iterator for a SELECT (the
+        cursor's read path); falls back to one materialized block when the
         plan shape (or an open transaction's overlay read) cannot
         stream."""
         with statement_boundary(prepared.sql):
@@ -775,8 +775,8 @@ class Session:
                 batches = stream_evaluate(plan, reader, ctx)
                 if batches is None:
                     relation = evaluate(plan, reader, ctx)
-                    pairs = list(relation.pairs())
-                    batches = iter([pairs] if pairs else [])
+                    batches = iter([Block(relation.row_ids, relation.columns)]
+                                   if len(relation) else [])
                 return plan.schema, batches
 
     # -- reads ---------------------------------------------------------------

@@ -9,19 +9,24 @@ byte-identical table states — the property the paper's randomized
 production validation (section 6.1) checks.
 
 The executor is a pull-based engine: each operator materializes its
-output. Execution is **vector-at-a-time** on the row-preserving hot path:
-storage is columnar only and hands scans over as columnar blocks
-(parallel per-column arrays), and filters, projections and limits
-evaluate whole column arrays through the vectorized compiler
+output. Execution is **vector-at-a-time**: every relation is a columnar
+block (parallel per-column arrays plus row ids), storage hands scans over
+as such blocks, and filters, projections and limits evaluate whole column
+arrays through the vectorized compiler
 (:func:`compile_expression_columnar`) — one tight loop per expression
-node per batch instead of one closure call per row. Aggregation and
-window partitioning compute their group keys the same way. Operators
-without a columnar kernel (joins, sorts) consume the relation's row view
-and still use the closure-compiled row evaluators, so every plan shape
-works on either layout; the interpreter (``Expression.eval``) remains the
-reference semantics for both. DML matching (``UPDATE``/``DELETE ...
-WHERE``) is an ordinary Filter over a Scan evaluated here, so it shares
-the vectorized predicate and the zone-map pruning below.
+node per batch instead of one closure call per row. Aggregation, window
+partitioning and hash joins compute their keys the same way. Operators
+that keep their input rows build their output by gathering positions:
+a join matches left/right index lists (``None`` on a padded side) and
+gathers each column once; sort and DISTINCT gather the surviving
+positions; UNION ALL concatenates columns; a window appends its computed
+columns to the child's. Only the consumers that need row shape read the
+relation's row view, once each: the per-group aggregate loop, sort keys,
+window partitions and the join residual (checked on candidate pairs
+only). The interpreter (``Expression.eval``) remains the reference
+semantics. DML matching (``UPDATE``/``DELETE ... WHERE``) is an ordinary
+Filter over a Scan evaluated here, so it shares the vectorized predicate
+and the zone-map pruning below.
 
 Filters directly over scans additionally push simple column-vs-literal
 bounds into the storage layer when the resolver supports it
@@ -34,7 +39,6 @@ reports the partitions-scanned/skipped split so EXPLAIN can surface it.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from itertools import compress as _itercompress, repeat as _repeat
 from typing import Iterator, Optional, Sequence
 
@@ -44,9 +48,8 @@ from repro.engine.expressions import (BoundParameter, ColumnRef, Comparison,
                                       DEFAULT_CONTEXT, EvalContext,
                                       compile_expression,
                                       compile_expression_columnar,
-                                      compile_group_key,
                                       compile_group_key_columnar,
-                                      compile_row, compile_row_columnar,
+                                      compile_row_columnar,
                                       conjuncts, emits_tristate)
 from repro.engine.relation import Relation, SnapshotResolver
 from repro.engine.window import (compile_window_calls, evaluate_window_calls,
@@ -61,32 +64,6 @@ def evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
              ctx: EvalContext = DEFAULT_CONTEXT) -> Relation:
     """Evaluate ``plan`` against ``resolver``'s snapshot."""
     return _Executor(resolver, ctx).run(plan)
-
-
-#: When True, the row-preserving kernels convert row-major inputs to the
-#: columnar layout and always take the vectorized path (normally they
-#: vectorize only inputs that are already columnar, i.e. storage scans).
-_FORCE_COLUMNAR = False
-
-
-@contextmanager
-def force_columnar():
-    """Route every row-preserving kernel through the vectorized columnar
-    evaluators, converting row-major inputs as needed. Used by the
-    three-way equivalence property test to pin the vectorized path against
-    the compiled and interpreted row paths."""
-    global _FORCE_COLUMNAR
-    saved = _FORCE_COLUMNAR
-    _FORCE_COLUMNAR = True
-    try:
-        yield
-    finally:
-        _FORCE_COLUMNAR = saved
-
-
-def _vectorize(relation: Relation) -> bool:
-    """Whether a kernel should take the vectorized path for this input."""
-    return _FORCE_COLUMNAR or relation.is_columnar
 
 
 #: A pushed-down scan bound: either ``("cmp", column_index, op, value)``
@@ -233,48 +210,30 @@ class _Executor:
 
     def _run_scan(self, plan: lp.Scan) -> Relation:
         source = self._resolver.scan(plan.table)
-        # Requalify under the plan's schema (alias binding); data unchanged
-        # and shared by reference — columnar when storage is.
-        if source.is_columnar:
-            return Relation.from_columns(plan.schema, source.columns,
-                                         source.row_ids)
-        return Relation(plan.schema, source.rows, source.row_ids)
+        # Requalify under the plan's schema (alias binding); the arrays are
+        # shared by reference.
+        return Relation.from_columns(plan.schema, source.columns,
+                                     source.row_ids)
 
     def _run_values(self, plan: lp.Values) -> Relation:
-        relation = Relation(plan.schema)
-        for index, row in enumerate(plan.rows):
-            relation.append(f"v:{index}", row)
-        return relation
+        return Relation(plan.schema, plan.rows,
+                        [f"v:{index}" for index in range(len(plan.rows))])
 
     # -- row-preserving operators ---------------------------------------------
 
     def _run_project(self, plan: lp.Project) -> Relation:
         child = self.run(plan.child)
-        if _vectorize(child):
-            columns_fn = compile_row_columnar(plan.exprs, self._ctx)
-            return Relation.from_columns(
-                plan.schema, columns_fn(child.columns, len(child)),
-                child.row_ids)
-        row_fn = compile_row(plan.exprs, self._ctx)
-        return Relation(plan.schema, [row_fn(row) for row in child.rows],
-                        list(child.row_ids))
+        columns_fn = compile_row_columnar(plan.exprs, self._ctx)
+        return Relation.from_columns(
+            plan.schema, columns_fn(child.columns, len(child)), child.row_ids)
 
     def _run_filter(self, plan: lp.Filter) -> Relation:
         child = self._filter_input(plan)
-        if _vectorize(child):
-            predicate = compile_expression_columnar(plan.predicate, self._ctx)
-            mask = predicate(child.columns, len(child))
-            columns, ids = _compress(child.columns, child.row_ids, mask,
-                                     emits_tristate(plan.predicate))
-            return Relation.from_columns(plan.schema, columns, ids)
-        predicate = compile_expression(plan.predicate, self._ctx)
-        rows: list[tuple] = []
-        ids: list[str] = []
-        for row_id, row in zip(child.row_ids, child.rows):
-            if predicate(row) is True:
-                rows.append(row)
-                ids.append(row_id)
-        return Relation(plan.schema, rows, ids)
+        predicate = compile_expression_columnar(plan.predicate, self._ctx)
+        mask = predicate(child.columns, len(child))
+        columns, ids = _compress(child.columns, child.row_ids, mask,
+                                 emits_tristate(plan.predicate))
+        return Relation.from_columns(plan.schema, columns, ids)
 
     def _filter_input(self, plan: lp.Filter) -> Relation:
         """The filter's input, zone-map pruned when it is a direct scan and
@@ -286,11 +245,8 @@ class _Executor:
                 bounds = extract_scan_bounds(plan.predicate, self._ctx)
                 if bounds:
                     source = scan_pruned(child.table, bounds)
-                    if source.is_columnar:
-                        return Relation.from_columns(child.schema,
-                                                     source.columns,
-                                                     source.row_ids)
-                    return Relation(child.schema, source.rows, source.row_ids)
+                    return Relation.from_columns(child.schema, source.columns,
+                                                 source.row_ids)
         return self.run(child)
 
     # -- joins ----------------------------------------------------------------
@@ -303,12 +259,16 @@ class _Executor:
     # -- union ------------------------------------------------------------------
 
     def _run_unionall(self, plan: lp.UnionAll) -> Relation:
-        output = Relation(plan.schema)
+        columns: list[list] = [[] for __ in plan.schema]
+        row_ids: list[str] = []
+        union_id = rowid.union_id
         for branch, child in enumerate(plan.inputs):
             relation = self.run(child)
-            for row_id, row in relation.pairs():
-                output.append(rowid.union_id(branch, row_id), row)
-        return output
+            row_ids.extend([union_id(branch, row_id)
+                            for row_id in relation.row_ids])
+            for column, values in zip(columns, relation.columns):
+                column.extend(values)
+        return Relation.from_columns(plan.schema, columns, row_ids)
 
     # -- aggregation ---------------------------------------------------------
 
@@ -337,25 +297,18 @@ class _Executor:
     def _run_sort(self, plan: lp.Sort) -> Relation:
         child = self.run(plan.child)
         ordered = sort_partition(child.rows, child.row_ids, plan.keys, self._ctx)
-        output = Relation(plan.schema)
-        for index in ordered:
-            output.append(child.row_ids[index], child.rows[index])
-        return output
+        return child.gather(ordered, plan.schema)
 
     def _run_limit(self, plan: lp.Limit) -> Relation:
         if plan.count < 0:
             raise UserError(f"LIMIT count must be non-negative, got {plan.count}")
         # The executor materializes each child, so LIMIT cannot stream the
-        # subtree; it slices the child's backing arrays directly (columnar
-        # when the child is).
+        # subtree; it slices the child's column arrays directly.
         child = self.run(plan.child)
         count = plan.count
-        if _vectorize(child):
-            return Relation.from_columns(
-                plan.schema, [column[:count] for column in child.columns],
-                child.row_ids[:count])
-        return Relation(plan.schema, child.rows[:count],
-                        child.row_ids[:count])
+        return Relation.from_columns(
+            plan.schema, [column[:count] for column in child.columns],
+            child.row_ids[:count])
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +319,7 @@ class Block:
     """One streamed batch: the rows of a single micro-partition, columnar.
 
     ``columns[i][j]`` is column ``i`` of row ``j``; ``row_ids[j]`` is row
-    ``j``'s id. The block iterates as ``(row_id, row)`` pairs and supports
-    ``len`` and slicing, so pre-columnar batch consumers keep working; the
+    ``j``'s id. Slicing yields a block (LIMIT cuts a batch short); the
     cursor's fill loop uses :meth:`row_tuples` to materialize each page's
     tuples in one transpose.
     """
@@ -388,32 +340,19 @@ class Block:
             return [()] * len(self.row_ids)
         return list(zip(*self.columns))
 
-    def pairs(self) -> list[tuple[str, tuple]]:
-        return list(zip(self.row_ids, self.row_tuples()))
-
-    def __iter__(self):
-        return iter(zip(self.row_ids, self.row_tuples()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Block(self.row_ids[index],
-                         [column[index] for column in self.columns])
-        return (self.row_ids[index],
-                tuple(column[index] for column in self.columns))
+    def __getitem__(self, index: slice) -> "Block":
+        if not isinstance(index, slice):
+            raise TypeError("a Block supports slicing only")
+        return Block(self.row_ids[index],
+                     [column[index] for column in self.columns])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Block({len(self)} rows x {len(self.columns)} columns)"
 
 
-#: One streamed batch: a columnar :class:`Block` (iterates as
-#: ``(row_id, row)`` pairs) produced from a single micro-partition of the
-#: scanned table.
-RowBatch = Block
-
-
 def stream_evaluate(plan: lp.PlanNode, resolver: SnapshotResolver,
                     ctx: EvalContext = DEFAULT_CONTEXT,
-                    ) -> Optional[Iterator[RowBatch]]:
+                    ) -> Optional[Iterator[Block]]:
     """Evaluate ``plan`` lazily, one micro-partition at a time.
 
     Supports the row-preserving pipeline shapes — a chain of Project /
@@ -533,7 +472,7 @@ def _scan_partitions(resolver: SnapshotResolver, table: str,
             if partition.might_match(bounds))
 
 
-def _union_batches(streams: list) -> Iterator[RowBatch]:
+def _union_batches(streams: list) -> Iterator[Block]:
     """Concatenate branch streams, rewriting row ids under the branch's
     union ordinal (identical to the materialized UNION ALL)."""
     union_id = rowid.union_id
@@ -543,8 +482,8 @@ def _union_batches(streams: list) -> Iterator[RowBatch]:
                          for row_id in batch.row_ids], batch.columns)
 
 
-def _limit_batches(batches: Iterator[RowBatch],
-                   count: int) -> Iterator[RowBatch]:
+def _limit_batches(batches: Iterator[Block],
+                   count: int) -> Iterator[Block]:
     remaining = count
     for batch in batches:
         if remaining <= 0:
@@ -587,8 +526,8 @@ class _TopKEntry:
         return self._tie_key() < other._tie_key()
 
 
-def _topk_batches(batches: Iterator[RowBatch], order_by, count: int,
-                  ctx: EvalContext, columns_fn) -> Iterator[RowBatch]:
+def _topk_batches(batches: Iterator[Block], order_by, count: int,
+                  ctx: EvalContext, columns_fn) -> Iterator[Block]:
     """Stream implementation of ``ORDER BY ... LIMIT count``: drain the
     child stream through a bounded heap holding at most ``count``
     candidates, then emit one block in exactly the materialized
@@ -621,82 +560,90 @@ def _topk_batches(batches: Iterator[RowBatch], order_by, count: int,
 
 def join_relations(plan: lp.Join, left: Relation, right: Relation,
                    ctx: EvalContext) -> Relation:
-    """Evaluate any join kind over two materialized inputs."""
-    output = Relation(plan.schema)
-    left_width = len(plan.left.schema)
-    right_width = len(plan.right.schema)
+    """Evaluate any join kind over two materialized inputs.
 
-    if plan.kind == "cross":
-        for left_id, left_row in left.pairs():
-            for right_id, right_row in right.pairs():
-                output.append(rowid.join_id(left_id, right_id),
-                              left_row + right_row)
-        return output
-
+    Matching produces parallel left/right position lists (``None`` on a
+    null-padded side) plus the output row ids; the output columns are then
+    one gather per input column. Output order: for each left row, its
+    matches in right-row order (or its null-padded row for LEFT/FULL when
+    none match); then, for RIGHT/FULL, the unmatched right rows in order.
+    """
     keys = lp.extract_equi_keys(plan)
-    matched_right: set[int] = set()
+    every_right = range(len(right))
+    candidates: Sequence[Sequence[int]]
+    if plan.kind == "cross":
+        candidates, condition = [every_right] * len(left), None
+    elif keys.left_keys:
+        candidates = _hash_candidates(keys, left, right, ctx)
+        condition = keys.residual
+    else:  # no equi-keys: nested loops on the full condition
+        candidates, condition = [every_right] * len(left), plan.condition
+    residual = (compile_expression(condition, ctx)
+                if condition is not None else None)
+    if residual is not None:
+        left_rows, right_rows = left.rows, right.rows
+
+    left_ids, right_ids = left.row_ids, right.row_ids
+    join_id = rowid.join_id
+    pad_left = plan.kind in ("left", "full")
+    matched: Optional[set[int]] = (set() if plan.kind in ("right", "full")
+                                   else None)
+    left_index: list[Optional[int]] = []
+    right_index: list[Optional[int]] = []
+    ids: list[str] = []
+    for position, matches in enumerate(candidates):
+        if residual is not None and matches:
+            left_row = left_rows[position]
+            matches = [index for index in matches
+                       if residual(left_row + right_rows[index]) is True]
+        left_id = left_ids[position]
+        if matches:
+            left_index.extend(_repeat(position, len(matches)))
+            right_index.extend(matches)
+            ids.extend([join_id(left_id, right_ids[index])
+                        for index in matches])
+            if matched is not None:
+                matched.update(matches)
+        elif pad_left:
+            left_index.append(position)
+            right_index.append(None)
+            ids.append(rowid.outer_left_id(left_id))
+    if matched is not None:
+        for index in every_right:
+            if index not in matched:
+                left_index.append(None)
+                right_index.append(index)
+                ids.append(rowid.outer_right_id(right_ids[index]))
+
+    columns = ([_gather_padded(column, left_index) for column in left.columns]
+               + [_gather_padded(column, right_index)
+                  for column in right.columns])
+    return Relation.from_columns(plan.schema, columns, ids)
+
+
+def _hash_candidates(keys: lp.EquiJoinKeys, left: Relation, right: Relation,
+                     ctx: EvalContext) -> list[Sequence[int]]:
+    """Per left row, the positions of the right rows with equal equi-keys
+    (in right-row order). Keys are evaluated vectorized; a NULL in any key
+    never matches."""
     group_key = t.group_key
-
-    if keys.left_keys:
-        # Hash join on the equi-keys.
-        left_key_fn = compile_row(keys.left_keys, ctx)
-        right_key_fn = compile_row(keys.right_keys, ctx)
-        residual = (compile_expression(keys.residual, ctx)
-                    if keys.residual is not None else None)
-        buckets: dict[tuple, list[int]] = {}
-        for index, row in enumerate(right.rows):
-            values = right_key_fn(row)
-            if any(value is None for value in values):
-                continue  # NULL keys never match
+    buckets: dict[tuple, list[int]] = {}
+    right_keys = compile_row_columnar(keys.right_keys, ctx)(
+        right.columns, len(right))
+    for index, values in enumerate(zip(*right_keys)):
+        if None not in values:
             buckets.setdefault(group_key(values), []).append(index)
+    left_keys = compile_row_columnar(keys.left_keys, ctx)(
+        left.columns, len(left))
+    return [() if None in values else buckets.get(group_key(values), ())
+            for values in zip(*left_keys)]
 
-        right_rows = right.rows
-        right_ids = right.row_ids
-        for left_index, left_row in enumerate(left.rows):
-            values = left_key_fn(left_row)
-            candidates: Sequence[int]
-            if any(value is None for value in values):
-                candidates = ()
-            else:
-                candidates = buckets.get(group_key(values), ())
-            found = False
-            for right_index in candidates:
-                combined = left_row + right_rows[right_index]
-                if residual is not None and residual(combined) is not True:
-                    continue
-                found = True
-                matched_right.add(right_index)
-                output.append(
-                    rowid.join_id(left.row_ids[left_index],
-                                  right_ids[right_index]), combined)
-            if not found and plan.kind in ("left", "full"):
-                output.append(rowid.outer_left_id(left.row_ids[left_index]),
-                              left_row + (None,) * right_width)
-    else:
-        # No equi-keys: nested loops on the full condition.
-        condition = (compile_expression(plan.condition, ctx)
-                     if plan.condition is not None else None)
-        for left_index, left_row in enumerate(left.rows):
-            found = False
-            for right_index, right_row in enumerate(right.rows):
-                combined = left_row + right_row
-                if condition is not None and condition(combined) is not True:
-                    continue
-                found = True
-                matched_right.add(right_index)
-                output.append(
-                    rowid.join_id(left.row_ids[left_index],
-                                  right.row_ids[right_index]), combined)
-            if not found and plan.kind in ("left", "full"):
-                output.append(rowid.outer_left_id(left.row_ids[left_index]),
-                              left_row + (None,) * right_width)
 
-    if plan.kind in ("right", "full"):
-        for right_index, right_row in enumerate(right.rows):
-            if right_index not in matched_right:
-                output.append(rowid.outer_right_id(right.row_ids[right_index]),
-                              (None,) * left_width + right_row)
-    return output
+def _gather_padded(column: Sequence, indices: list[Optional[int]]) -> list:
+    """``column`` at ``indices``, with NULL wherever the index is None."""
+    if None not in indices:
+        return list(map(column.__getitem__, indices))
+    return [None if index is None else column[index] for index in indices]
 
 
 def aggregate_relation(plan: lp.Aggregate, child: Relation,
@@ -704,100 +651,97 @@ def aggregate_relation(plan: lp.Aggregate, child: Relation,
     """Evaluate grouped (or scalar) aggregation over a materialized input.
 
     Grouping keys are computed vectorized (one pass per group expression
-    over the child's column arrays) when the input is columnar; the
-    per-group aggregate evaluation consumes row tuples either way.
+    over the child's column arrays); each group's rows are then gathered
+    and read as row tuples by the per-group aggregate evaluation, and the
+    output rows are transposed once.
     """
-    groups: dict[tuple, tuple[tuple, list[tuple]]] = {}
+    groups: dict[tuple, tuple[tuple, list[int]]] = {}
     group_key = t.group_key
-    child_rows = child.rows
-    if not plan.group_exprs:
-        key_values_per_row = _repeat(())  # scalar aggregate: one group
-    elif _vectorize(child):
+    if plan.group_exprs:
         arrays = compile_row_columnar(plan.group_exprs, ctx)(
             child.columns, len(child))
         key_values_per_row = zip(*arrays)
     else:
-        values_fn = compile_row(plan.group_exprs, ctx)
-        key_values_per_row = map(values_fn, child_rows)
-    for row, key_values in zip(child_rows, key_values_per_row):
+        key_values_per_row = _repeat((), len(child))  # scalar: one group
+    for index, key_values in enumerate(key_values_per_row):
         key = group_key(key_values)
         entry = groups.get(key)
         if entry is None:
             groups[key] = entry = (key_values, [])
-        entry[1].append(row)
+        entry[1].append(index)
 
-    output = Relation(plan.schema)
     if plan.is_scalar and not groups:
         # Scalar aggregate over empty input still yields one row.
         groups[group_key(())] = ((), [])
     arg_fns = [(None if call.arg is None
                 else compile_expression(call.arg, ctx))
                for call in plan.aggregates]
-    for key_values, rows in groups.values():
+    ids: list[str] = []
+    rows: list[tuple] = []
+    for key_values, indices in groups.values():
+        group_rows = child.gather(indices).rows
         aggregates = tuple(
-            evaluate_aggregate(call.function, call.arg, call.distinct, rows,
-                               ctx, arg_fn=arg_fn)
+            evaluate_aggregate(call.function, call.arg, call.distinct,
+                               group_rows, ctx, arg_fn=arg_fn)
             for call, arg_fn in zip(plan.aggregates, arg_fns))
-        output.append(rowid.group_id(key_values), key_values + aggregates)
-    return output
+        ids.append(rowid.group_id(key_values))
+        rows.append(key_values + aggregates)
+    return Relation(plan.schema, rows, ids)
 
 
 def distinct_relation(schema, child: Relation) -> Relation:
-    output = Relation(schema)
     seen: set[tuple] = set()
+    keep: list[int] = []
+    ids: list[str] = []
     group_key = t.group_key
-    for row in child.rows:
+    for index, row in enumerate(child.rows):
         key = group_key(row)
         if key in seen:
             continue
         seen.add(key)
-        output.append(rowid.distinct_id(row), row)
-    return output
+        keep.append(index)
+        ids.append(rowid.distinct_id(row))
+    return Relation.from_columns(
+        schema, [_gather_padded(column, keep) for column in child.columns],
+        ids)
 
 
 def window_relation(plan: lp.Window, child: Relation,
                     ctx: EvalContext) -> Relation:
-    """Evaluate partitioned window calls, appending one column per call.
-    Partition keys are computed vectorized over columnar inputs."""
+    """Evaluate partitioned window calls: the child's columns plus one
+    computed column per call. Partition keys are computed vectorized."""
     partitions: dict[tuple, list[int]] = {}
-    child_rows = child.rows
-    if _vectorize(child):
-        keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
-            child.columns, len(child))
-        for index, key in enumerate(keys):
-            partitions.setdefault(key, []).append(index)
-    else:
-        key_fn = compile_group_key(plan.partition_exprs, ctx)
-        for index, row in enumerate(child_rows):
-            partitions.setdefault(key_fn(row), []).append(index)
+    keys = compile_group_key_columnar(plan.partition_exprs, ctx)(
+        child.columns, len(child))
+    for index, key in enumerate(keys):
+        partitions.setdefault(key, []).append(index)
 
-    extra: list[list] = [[] for __ in child_rows]
+    computed: list[list] = [[None] * len(child) for __ in plan.calls]
     compiled = compile_window_calls(plan.calls, ctx)
     for indices in partitions.values():
-        rows = [child_rows[index] for index in indices]
-        ids = [child.row_ids[index] for index in indices]
-        outputs = evaluate_window_calls(plan.calls, rows, ids, ctx,
+        partition = child.gather(indices)
+        outputs = evaluate_window_calls(plan.calls, partition.rows,
+                                        partition.row_ids, ctx,
                                         compiled=compiled)
-        for local, index in enumerate(indices):
-            extra[index] = outputs[local]
-
-    output = Relation(plan.schema)
-    for index, (row_id, row) in enumerate(child.pairs()):
-        output.append(row_id, row + tuple(extra[index]))
-    return output
+        for call_index, column in enumerate(computed):
+            for local, index in enumerate(indices):
+                column[index] = outputs[local][call_index]
+    return Relation.from_columns(plan.schema, list(child.columns) + computed,
+                                 child.row_ids)
 
 
 def flatten_relation(plan: lp.Flatten, child: Relation,
                      ctx: EvalContext) -> Relation:
     """LATERAL FLATTEN: one output row per array element; non-array or NULL
     inputs contribute no rows (Snowflake's default OUTER => FALSE)."""
-    output = Relation(plan.schema)
     input_fn = compile_expression(plan.input_expr, ctx)
-    for row_id, row in zip(child.row_ids, child.rows):
+    ids: list[str] = []
+    rows: list[tuple] = []
+    for row_id, row in child.pairs():
         value = input_fn(row)
         if not isinstance(value, list):
             continue
         for index, element in enumerate(value):
-            output.append(rowid.flatten_id(row_id, index),
-                          row + (element, index))
-    return output
+            ids.append(rowid.flatten_id(row_id, index))
+            rows.append(row + (element, index))
+    return Relation(plan.schema, rows, ids)

@@ -1,25 +1,24 @@
 """Relations: schema + columnar row storage + stable row identifiers.
 
 A :class:`Relation` is what flows from storage into the executor and the
-differentiation framework. Since the columnar-execution refactor it is a
-**columnar block**: the canonical layout is a list of parallel per-column
-value arrays plus a ``row_ids`` array carrying the stable per-row
-identifiers that incremental view maintenance threads through every
-operator (section 5.5: "Incremental DTs define a unique ID for every row
-in the query result, and store those IDs alongside the data").
+differentiation framework. It is a **columnar block**: a list of parallel
+per-column value arrays plus a ``row_ids`` array carrying the stable
+per-row identifiers that incremental view maintenance threads through
+every operator (section 5.5: "Incremental DTs define a unique ID for every
+row in the query result, and store those IDs alongside the data").
 
 Row view
 --------
 
-The row-tuple entry points — ``Relation(schema, rows, row_ids)``
-construction, ``rows``, ``pairs()``, ``__iter__``, ``append`` and
-``from_pairs`` — serve the operators that are still row-at-a-time above
-storage (joins, sorts, per-group aggregate loops) and external callers.
-Internally the relation holds *either* layout (whichever it was built
-from) and materializes the other lazily, caching it; ``append`` keeps
-every materialized layout in sync. Everything below the executor —
-storage scans and writes, change queries, transaction overlays — builds
-and consumes the columnar layout only.
+There is one layout. The row-tuple constructor
+``Relation(schema, rows, row_ids)`` and :meth:`Relation.from_pairs` are
+builders (tests, benchmarks, operators whose output is produced row by
+row): each transposes its rows into columns once. ``rows``, ``pairs()``
+and iteration are uncached transposes for the consumers that need row
+shape — query results, the per-group aggregate loop, sort keys and the
+join residual — which read them at most once per relation. Operators
+that keep their input rows build output columns by gathering positions
+(:meth:`Relation.gather`) instead.
 """
 
 from __future__ import annotations
@@ -32,27 +31,26 @@ from repro.engine.schema import Schema
 class Relation:
     """An in-memory bag of rows with parallel row ids, stored column-major.
 
-    ``rows`` and ``columns`` are two views of the same data; at least one
-    is always materialized and the other is derived (and cached) on first
-    access. Callers must treat both as read-only — mutate only through
-    :meth:`append`.
+    ``columns[i][j]`` is column ``i`` of row ``j``; ``row_ids[j]`` is row
+    ``j``'s id. Both are shared by reference between relations (a scan
+    hands storage's arrays up unchanged), so callers treat them as
+    read-only.
     """
 
-    __slots__ = ("schema", "row_ids", "_rows", "_columns")
+    __slots__ = ("schema", "row_ids", "columns")
 
-    def __init__(self, schema: Schema, rows: Optional[list] = None,
+    def __init__(self, schema: Schema, rows: Optional[Sequence] = None,
                  row_ids: Optional[list] = None):
-        self.schema = schema
-        self._rows: Optional[list[tuple]] = rows if rows is not None else []
-        self._columns: Optional[list] = None
-        if row_ids is None:
-            row_ids = []
-        if row_ids and len(row_ids) != len(self._rows):
+        rows = rows if rows is not None else []
+        if row_ids and len(row_ids) != len(rows):
             raise ValueError("row_ids must parallel rows")
-        if not row_ids and self._rows:
+        if not row_ids:
             # Positional fallback ids; storage always provides real ids.
-            row_ids = [f"pos:{index}" for index in range(len(self._rows))]
+            row_ids = [f"pos:{index}" for index in range(len(rows))]
+        self.schema = schema
         self.row_ids: list[str] = row_ids
+        self.columns: list = ([list(column) for column in zip(*rows)]
+                              if rows else [[] for __ in schema])
 
     @staticmethod
     def from_columns(schema: Schema, columns: Sequence[Sequence],
@@ -64,87 +62,58 @@ class Relation:
         """
         relation = Relation.__new__(Relation)
         relation.schema = schema
-        relation._rows = None
-        relation._columns = list(columns)
-        count = len(columns[0]) if columns else 0
-        if row_ids is None or not row_ids:
+        relation.columns = list(columns)
+        if not columns:
+            count = len(row_ids or ())  # zero-width: the ids carry the count
+        else:
+            count = len(columns[0])
+        if not row_ids:
             row_ids = [f"pos:{index}" for index in range(count)]
         elif len(row_ids) != count:
             raise ValueError("row_ids must parallel columns")
         relation.row_ids = row_ids
         return relation
 
-    # -- views ----------------------------------------------------------------
+    @staticmethod
+    def from_pairs(schema: Schema,
+                   pairs: Iterable[tuple[str, tuple]]) -> "Relation":
+        pairs = list(pairs)
+        return Relation(schema, [row for __, row in pairs],
+                        [row_id for row_id, __ in pairs])
+
+    # -- row views (uncached transposes) ---------------------------------------
 
     @property
     def rows(self) -> list[tuple]:
-        """Row tuples (the row view; materialized lazily)."""
-        if self._rows is None:
-            columns = self._columns
-            if columns:
-                self._rows = list(zip(*columns))
-            else:
-                self._rows = [()] * len(self.row_ids)
-        return self._rows
-
-    @property
-    def columns(self) -> list:
-        """Per-column value arrays, parallel to ``row_ids`` (materialized
-        lazily from the row view when needed)."""
-        if self._columns is None:
-            rows = self._rows
-            if rows:
-                self._columns = [list(column) for column in zip(*rows)]
-            else:
-                self._columns = [[] for __ in range(len(self.schema))]
-        return self._columns
-
-    @property
-    def is_columnar(self) -> bool:
-        """Whether the columnar layout is already materialized (hot paths
-        use this to pick the vectorized kernel without forcing a layout
-        conversion)."""
-        return self._columns is not None
-
-    def column(self, index: int) -> Sequence:
-        """One column's value array."""
-        return self.columns[index]
-
-    def __len__(self) -> int:
-        return len(self.row_ids)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
+        """Row tuples: one transpose of the columns per access."""
+        if not self.columns:
+            return [()] * len(self.row_ids)
+        return list(zip(*self.columns))
 
     def pairs(self) -> Iterator[tuple[str, tuple]]:
         """Iterate ``(row_id, row)`` pairs."""
         return zip(self.row_ids, self.rows)
 
-    # -- mutation -------------------------------------------------------------
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.rows)
 
-    def append(self, row_id: str, row: tuple) -> None:
-        """Append one row, keeping every materialized layout in sync."""
-        if self._rows is not None:
-            self._rows.append(row)
-        columns = self._columns
-        if columns is not None:
-            for index, value in enumerate(row):
-                column = columns[index]
-                if type(column) is not list:
-                    columns[index] = column = list(column)
-                column.append(value)
-        self.row_ids.append(row_id)
+    def __len__(self) -> int:
+        return len(self.row_ids)
 
-    @staticmethod
-    def from_pairs(schema: Schema, pairs: Iterable[tuple[str, tuple]]) -> "Relation":
-        relation = Relation(schema)
-        for row_id, row in pairs:
-            relation.append(row_id, row)
-        return relation
+    # -- column kernels ---------------------------------------------------------
+
+    def gather(self, indices: Sequence[int],
+               schema: Optional[Schema] = None) -> "Relation":
+        """The rows at ``indices``, in that order, with their ids (one
+        gather per column); ``schema`` relabels the result."""
+        return Relation.from_columns(
+            schema if schema is not None else self.schema,
+            [list(map(column.__getitem__, indices))
+             for column in self.columns],
+            list(map(self.row_ids.__getitem__, indices)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        layout = "columnar" if self._columns is not None else "row-major"
-        return f"Relation({len(self)} rows, {layout})"
+        return f"Relation({len(self)} rows x {len(self.columns)} columns)"
 
 
 class SnapshotResolver(Protocol):

@@ -155,9 +155,7 @@ def _relation_columns(relation: Relation) -> tuple[list, int]:
     count = len(relation)
     if not count:
         return [], 0
-    if relation.is_columnar:
-        return list(relation.columns), count
-    return transpose_rows(relation.rows), count
+    return list(relation.columns), count
 
 
 def _parallel_spans(count: int) -> Optional[list[tuple[int, int]]]:

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from repro.engine import types as t
 from repro.engine.executor import aggregate_relation, distinct_relation
-from repro.engine.expressions import (compile_group_key,
-                                      compile_group_key_columnar)
+from repro.engine.expressions import compile_group_key_columnar
 from repro.errors import RowIdIntegrityError
 from repro.ivm import aggstate
 from repro.ivm.aggstate import AggStateInconsistency, transpose_rows
@@ -89,11 +88,10 @@ def delta_aggregate(differ: Differentiator, plan: lp.Aggregate) -> ChangeSet:
     affected = set(key_array_fn(transpose_rows(child_delta.rows),
                                 len(child_delta)))
 
-    key_fn = compile_group_key(plan.group_exprs, differ.ctx)
-    child_old = semi_join_keys(differ.old(plan.child), key_fn, affected,
-                               key_array_fn=key_array_fn)
-    child_new = semi_join_keys(differ.new(plan.child), key_fn, affected,
-                               key_array_fn=key_array_fn)
+    child_old = semi_join_keys(differ.old(plan.child), key_array_fn,
+                               affected)
+    child_new = semi_join_keys(differ.new(plan.child), key_array_fn,
+                               affected)
 
     old_result = aggregate_relation(plan, child_old, differ.ctx)
     new_result = aggregate_relation(plan, child_new, differ.ctx)
@@ -121,10 +119,8 @@ def delta_distinct(differ: Differentiator, plan: lp.Distinct) -> ChangeSet:
 
     old_result = distinct_relation(
         plan.schema,
-        semi_join_keys(differ.old(plan.child), t.group_key, affected,
-                       key_array_fn=key_array_fn))
+        semi_join_keys(differ.old(plan.child), key_array_fn, affected))
     new_result = distinct_relation(
         plan.schema,
-        semi_join_keys(differ.new(plan.child), t.group_key, affected,
-                       key_array_fn=key_array_fn))
+        semi_join_keys(differ.new(plan.child), key_array_fn, affected))
     return diff_relations(old_result, new_result)

@@ -33,8 +33,11 @@ difference.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from repro.engine.executor import join_relations
-from repro.engine.expressions import compile_group_key
+from repro.engine.expressions import (compile_group_key,
+                                      compile_group_key_columnar)
 from repro.engine.relation import Relation
 from repro.errors import NotIncrementalizableError
 from repro.ivm.changes import Action, ChangeSet
@@ -130,10 +133,14 @@ def _delta_outer_direct(differ: Differentiator, plan: lp.Join) -> ChangeSet:
     affected.update(map(left_key_fn, delta_left.rows))
     affected.update(map(right_key_fn, delta_right.rows))
 
-    left_old = semi_join_keys(differ.old(plan.left), left_key_fn, affected)
-    left_new = semi_join_keys(differ.new(plan.left), left_key_fn, affected)
-    right_old = semi_join_keys(differ.old(plan.right), right_key_fn, affected)
-    right_new = semi_join_keys(differ.new(plan.right), right_key_fn, affected)
+    left_array_fn = compile_group_key_columnar(keys.left_keys, differ.ctx)
+    right_array_fn = compile_group_key_columnar(keys.right_keys, differ.ctx)
+    left_old = semi_join_keys(differ.old(plan.left), left_array_fn, affected)
+    left_new = semi_join_keys(differ.new(plan.left), left_array_fn, affected)
+    right_old = semi_join_keys(differ.old(plan.right), right_array_fn,
+                               affected)
+    right_new = semi_join_keys(differ.new(plan.right), right_array_fn,
+                               affected)
 
     differ.stats.join_input_rows += (len(left_old) + len(right_old)
                                      + len(left_new) + len(right_new))
@@ -180,11 +187,7 @@ def _left_pad_rows(differ: Differentiator, plan: lp.Join, left: Relation,
     joined = join_relations(
         lp.Join("left", plan.left, plan.right, plan.condition),
         left, right, differ.ctx)
-    pads = Relation(plan.schema)
-    for row_id, row in joined.pairs():
-        if row_id.startswith("lo:"):
-            pads.append(row_id, row)
-    return pads
+    return _rows_with_id_prefix(plan, joined, "lo:")
 
 
 def _right_pad_rows(differ: Differentiator, plan: lp.Join, left: Relation,
@@ -193,8 +196,15 @@ def _right_pad_rows(differ: Differentiator, plan: lp.Join, left: Relation,
     joined = join_relations(
         lp.Join("right", plan.left, plan.right, plan.condition),
         left, right, differ.ctx)
-    pads = Relation(plan.schema)
-    for row_id, row in joined.pairs():
-        if row_id.startswith("ro:"):
-            pads.append(row_id, row)
-    return pads
+    return _rows_with_id_prefix(plan, joined, "ro:")
+
+
+def _rows_with_id_prefix(plan: lp.Join, joined: Relation,
+                         prefix: str) -> Relation:
+    """The rows of ``joined`` whose id starts with ``prefix`` (the
+    null-padded rows of an outer join)."""
+    mask = [row_id.startswith(prefix) for row_id in joined.row_ids]
+    return Relation.from_columns(
+        plan.schema,
+        [list(compress(column, mask)) for column in joined.columns],
+        list(compress(joined.row_ids, mask)))

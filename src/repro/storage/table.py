@@ -324,8 +324,12 @@ class VersionedTable:
             dead.discard(row_id)  # an update after a delete wins
             updates[row_id] = new_row
 
+        # Rewrite in partition order: ``write.deletes`` is a set, and its
+        # iteration order would otherwise leak into the new partitions'
+        # order (and so into unordered scans).
         added: list[Partition] = []
-        for partition_id, (dead, updates) in touched.items():
+        for partition_id in sorted(touched):
+            dead, updates = touched[partition_id]
             added.extend(self._rewrite(partition_id, dead, updates))
         if write.inserts:
             added.extend(self._build_rows(

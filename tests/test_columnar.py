@@ -2,8 +2,8 @@
 
 Covers the three layers the columnar refactor introduced:
 
-* the :class:`Relation` columnar block layout and its row-tuple
-  compatibility view;
+* the :class:`Relation` columnar block layout, its row-tuple builders
+  and its uncached row view;
 * the struct-of-arrays :class:`ChangeSet` (bulk mutation, array accessors,
   vectorized consolidation);
 * the vectorized expression compiler (value equivalence with the
@@ -14,7 +14,7 @@ Covers the three layers the columnar refactor introduced:
 import pytest
 
 from repro.engine import types as t
-from repro.engine.executor import Block, evaluate, force_columnar
+from repro.engine.executor import Block
 from repro.engine.expressions import (Arithmetic, BooleanOp, Case, Cast,
                                       ColumnRef, Comparison, FunctionCall,
                                       InList, IsNull, Like, Literal, Not,
@@ -41,7 +41,6 @@ class TestRelationBlockLayout:
         relation = Relation.from_columns(
             ITEMS, [[1, 2, 3], ["a", "b", "c"], [10, 20, 30]],
             ["r0", "r1", "r2"])
-        assert relation.is_columnar
         assert relation.rows == [(1, "a", 10), (2, "b", 20), (3, "c", 30)]
         assert list(relation.pairs())[1] == ("r1", (2, "b", 20))
         assert len(relation) == 3
@@ -49,18 +48,17 @@ class TestRelationBlockLayout:
     def test_rows_to_columns_materialization(self):
         relation = Relation(ITEMS, [(1, "a", 10), (2, "b", 20)],
                             ["r0", "r1"])
-        assert not relation.is_columnar
         assert relation.columns == [[1, 2], ["a", "b"], [10, 20]]
-        assert relation.column(2) == [10, 20]
-        assert relation.is_columnar  # cached after first access
-
-    def test_append_keeps_layouts_in_sync(self):
-        relation = Relation.from_columns(ITEMS, [[1], ["a"], [10]], ["r0"])
-        __ = relation.rows  # materialize both layouts
-        relation.append("r1", (2, "b", 20))
         assert relation.rows == [(1, "a", 10), (2, "b", 20)]
-        assert relation.columns == [[1, 2], ["a", "b"], [10, 20]]
-        assert relation.row_ids == ["r0", "r1"]
+
+    def test_gather_keeps_ids_and_order(self):
+        relation = Relation.from_columns(
+            ITEMS, [[1, 2, 3], ["a", "b", "c"], [10, 20, 30]],
+            ["r0", "r1", "r2"])
+        picked = relation.gather([2, 0])
+        assert picked.row_ids == ["r2", "r0"]
+        assert picked.rows == [(3, "c", 30), (1, "a", 10)]
+        assert picked.schema is ITEMS
 
     def test_empty_columnar_relation(self):
         relation = Relation.from_columns(ITEMS, [[], [], []], [])
@@ -84,12 +82,13 @@ class TestBlock:
     def test_iteration_len_and_slicing(self):
         block = Block(["r0", "r1", "r2"], [[1, 2, 3], ["a", "b", "c"]])
         assert len(block) == 3
-        assert list(block) == [("r0", (1, "a")), ("r1", (2, "b")),
-                               ("r2", (3, "c"))]
+        assert block.row_tuples() == [(1, "a"), (2, "b"), (3, "c")]
+        with pytest.raises(TypeError):
+            list(block)  # rows come from row_tuples(), not iteration
         head = block[:2]
         assert isinstance(head, Block)
+        assert head.row_ids == ["r0", "r1"]
         assert head.row_tuples() == [(1, "a"), (2, "b")]
-        assert block[1] == ("r1", (2, "b"))
 
 
 class TestSoAChangeSet:
@@ -258,24 +257,6 @@ class TestVectorizedEvaluators:
 
 
 PROVIDER = DictSchemaProvider({"items": ITEMS})
-
-
-def _relations():
-    rows = [(i, "g" + str(i % 3), (i * 3) % 7) for i in range(25)]
-    return {"items": Relation(ITEMS, rows,
-                              [f"b1:{i}" for i in range(len(rows))])}
-
-
-class TestExecutorPathEquivalence:
-    def test_force_columnar_matches_default(self):
-        plan = build_plan(parse_query(
-            "SELECT grp, count(*) n FROM items GROUP BY grp"), PROVIDER)
-        relations = _relations()
-        default = evaluate(plan, DictResolver(relations))
-        with force_columnar():
-            forced = evaluate(plan, DictResolver(relations))
-        assert default.rows == forced.rows
-        assert default.row_ids == forced.row_ids
 
 
 class TestPositionalIdGuard:

@@ -8,8 +8,14 @@ before loading), so a few dozen rows span many partitions with disjoint
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Database
 from repro.engine.executor import stream_evaluate
 from repro.errors import EvaluationError
@@ -123,7 +129,7 @@ class TestTransactionOverlay:
         # The streaming read serves the same rows, ids and order.
         scan = lp.Scan("t", _table(db).schema.requalified("t"))
         streamed = [pair for block in stream_evaluate(scan, txn)
-                    for pair in block]
+                    for pair in zip(block.row_ids, block.row_tuples())]
         assert streamed == _pairs(overlay)
         cursor = session.cursor()
         cursor.execute("SELECT id, b FROM t")
@@ -145,3 +151,30 @@ class TestTransactionOverlay:
         assert [row for __, row in committed[len(base):]] == [
             row for __, row in staged]
         assert sorted(row for __, row in committed) == sorted(expected)
+
+
+_MULTI_PARTITION_DELETE = """
+from repro import Database
+db = Database()
+db.execute("CREATE TABLE t (id int)")
+db.catalog.versioned_table("t").partition_rows = 2
+db.execute("INSERT INTO t VALUES " + ", ".join(f"({i})" for i in range(12)))
+db.execute("DELETE FROM t WHERE id IN (1, 5, 9)")
+print([row[0] for row in db.query("SELECT id FROM t").rows])
+"""
+
+
+class TestDeterministicPartitionOrder:
+    def test_multi_partition_delete_order_ignores_hash_seed(self):
+        # The DELETE rewrites three partitions; their replacements (and so
+        # the unordered SELECT order) must not depend on set iteration
+        # order, i.e. on the interpreter's string-hash seed.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", _MULTI_PARTITION_DELETE], env=env,
+                capture_output=True, text=True, check=True)
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, outputs

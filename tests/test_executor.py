@@ -6,6 +6,7 @@ from repro.engine.executor import evaluate
 from repro.engine.relation import DictResolver, Relation
 from repro.engine.schema import schema_of
 from repro.engine.types import SqlType
+from repro.ivm import rowid
 from repro.plan.builder import DictSchemaProvider, build_plan
 from repro.sql.parser import parse_query
 
@@ -117,6 +118,71 @@ class TestJoins:
             "SELECT o.id FROM orders o LEFT JOIN customers c "
             "ON o.cust = c.name", resolver)
         assert len(set(result.row_ids)) == len(result.row_ids)
+
+
+
+LHS = schema_of(("k", SqlType.TEXT), ("v", SqlType.INT), table="lhs")
+RHS = schema_of(("k", SqlType.TEXT), ("w", SqlType.INT), table="rhs")
+# Duplicate keys (x) on both sides, NULL keys on both sides, a key match
+# the residual rejects (y: 5 < 2 fails), and unmatched rows on both sides.
+LHS_PAIRS = [("l0", ("x", 1)), ("l1", ("y", 5)), ("l2", (None, 2)),
+             ("l3", ("x", 9)), ("l4", ("q", 3))]
+RHS_PAIRS = [("r0", ("x", 4)), ("r1", (None, 7)), ("r2", ("x", 10)),
+             ("r3", ("y", 2)), ("r4", ("z", 8))]
+JOIN_CONDITIONS = {
+    # equi-key plus residual: the hash-join path
+    "l.k = r.k AND l.v < r.w":
+        lambda left, right: (left[0] is not None and right[0] is not None
+                             and left[0] == right[0] and left[1] < right[1]),
+    # no equi-key: the nested-loop path
+    "l.v < r.w": lambda left, right: left[1] < right[1],
+}
+
+
+def _nested_loop_join(kind, condition):
+    """The join's defined output, row ids and order: for each left row,
+    its matches in right-row order (or its NULL-padded row for LEFT/FULL
+    when none match); then the unmatched right rows for RIGHT/FULL."""
+    output = []
+    matched = set()
+    for left_id, left_row in LHS_PAIRS:
+        found = False
+        for position, (right_id, right_row) in enumerate(RHS_PAIRS):
+            if kind == "cross" or condition(left_row, right_row):
+                found = True
+                matched.add(position)
+                output.append((rowid.join_id(left_id, right_id),
+                               left_row + right_row))
+        if not found and kind in ("left", "full"):
+            output.append((rowid.outer_left_id(left_id),
+                           left_row + (None, None)))
+    if kind in ("right", "full"):
+        for position, (right_id, right_row) in enumerate(RHS_PAIRS):
+            if position not in matched:
+                output.append((rowid.outer_right_id(right_id),
+                               (None, None) + right_row))
+    return output
+
+
+class TestJoinOutputOrder:
+    """Every join kind yields exactly the nested-loop reference's rows,
+    row ids and order (not merely the same multiset)."""
+
+    @pytest.mark.parametrize("sql_condition", sorted(JOIN_CONDITIONS))
+    @pytest.mark.parametrize("kind", ["inner", "left", "right", "full",
+                                      "cross"])
+    def test_matches_nested_loop_reference(self, kind, sql_condition):
+        if kind == "cross":
+            sql = "SELECT * FROM lhs l CROSS JOIN rhs r"
+        else:
+            sql = (f"SELECT * FROM lhs l {kind.upper()} JOIN rhs r "
+                   f"ON {sql_condition}")
+        provider = DictSchemaProvider({"lhs": LHS, "rhs": RHS})
+        resolver = DictResolver({"lhs": Relation.from_pairs(LHS, LHS_PAIRS),
+                                 "rhs": Relation.from_pairs(RHS, RHS_PAIRS)})
+        result = evaluate(build_plan(parse_query(sql), provider), resolver)
+        expected = _nested_loop_join(kind, JOIN_CONDITIONS[sql_condition])
+        assert list(result.pairs()) == expected
 
 
 class TestAggregation:
@@ -338,7 +404,8 @@ class TestStreamingTopK:
         materialized = evaluate(plan, resolver)
         batches = stream_evaluate(plan, resolver)
         assert batches is not None, "plan did not stream"
-        streamed = [pair for batch in batches for pair in batch]
+        streamed = [pair for batch in batches
+                    for pair in zip(batch.row_ids, batch.row_tuples())]
         assert streamed == list(materialized.pairs())
 
     def test_top_k_ascending(self):

@@ -54,11 +54,6 @@ class TestRelation:
         assert len(relation) == 2
         assert list(relation) == [(1,), (2,)]
 
-    def test_append(self):
-        relation = Relation(self.SCHEMA)
-        relation.append("r", (9,))
-        assert relation.rows == [(9,)]
-
 
 class TestSimClock:
     def test_advance(self):

@@ -5,6 +5,7 @@ import pytest
 from repro import Cursor, Database, PreparedStatement, Session
 from repro.api import prepared as prepared_module
 from repro.api import session as session_module
+from repro.engine.executor import Block
 from repro.errors import (BindParameterError, CatalogError, EvaluationError,
                           StatementError, UserError)
 from repro.txn.manager import SnapshotReader
@@ -404,7 +405,7 @@ class TestCursorStreaming:
         ctx = EvalContext(timestamp=paged_db.now, params=(75,))
         batches = list(stream_evaluate(prepared.plan(), reader, ctx))
         assert len(batches) == 75 // self.PARTITION_ROWS + 1  # pruned to 2
-        rows = [row for batch in batches for __, row in batch]
+        rows = [row for batch in batches for row in batch.row_tuples()]
         assert sorted(rows) == [(i,) for i in range(75)]
         # The cursor path serves the same rows.
         cursor = paged_db.cursor()
@@ -469,13 +470,13 @@ class TestCursorStreaming:
         ctx = EvalContext(timestamp=paged_db.now)
         streamed = [pair for batch in
                     stream_evaluate(prepared.plan(), reader, ctx)
-                    for pair in batch]
+                    for pair in zip(batch.row_ids, batch.row_tuples())]
         materialized = list(evaluate(prepared.plan(), reader, ctx).pairs())
         assert streamed == materialized
 
     def test_fetch_time_errors_cross_the_boundary(self, paged_db):
         def poisoned_stream():
-            yield [("row:0", (1,))]
+            yield Block(["row:0"], [[1]])
             raise KeyError("stream blew up mid-fetch")
 
         cursor = paged_db.cursor()

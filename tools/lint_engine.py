@@ -119,13 +119,7 @@ _MATERIALIZE_PREFIX = ("ivm/rules_",)
 #: Additions to this list need review — new hot-path code is expected to
 #: stay columnar or carry an inline pragma with a justification.
 MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
-    ("engine/executor.py", "_filter_input"),
-    ("engine/executor.py", "_run_filter"),
-    ("engine/executor.py", "_run_limit"),
-    ("engine/executor.py", "_run_project"),
-    ("engine/executor.py", "_run_scan"),
     ("engine/executor.py", "_run_sort"),
-    ("engine/executor.py", "_run_unionall"),
     ("engine/executor.py", "_run_values"),
     ("engine/executor.py", "aggregate_relation"),
     ("engine/executor.py", "distinct_relation"),
@@ -139,9 +133,7 @@ MATERIALIZE_ALLOWLIST: set[tuple[str, str]] = {
     ("ivm/rules_basic.py", "delta_project"),
     ("ivm/rules_basic.py", "delta_unionall"),
     ("ivm/rules_join.py", "_delta_outer_direct"),
-    ("ivm/rules_join.py", "_left_pad_rows"),
     ("ivm/rules_join.py", "_relation_of_action"),
-    ("ivm/rules_join.py", "_right_pad_rows"),
     ("ivm/rules_join.py", "_signed_join"),
     ("ivm/rules_window.py", "delta_window"),
     ("storage/table.py", "rows_by_id"),
